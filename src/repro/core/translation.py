@@ -173,7 +173,8 @@ class ReportLevelEnforcer:
         condition column away (it exists only "for purposes of defining
         PLAs"). In that case the enforcer extends the view one level — the
         view's own source still carries the column — and points the query at
-        the extended view. Raises when the column is genuinely absent.
+        the extended view, registered only when absent or changed. Raises
+        when the column is genuinely absent.
         """
         from dataclasses import replace as _replace
 
@@ -199,7 +200,9 @@ class ReportLevelEnforcer:
             )
         extended_name = f"{source}__plaext"
         extended = view_query.project(*view_outputs, *sorted(missing))
-        self.catalog.add_view(View(extended_name, extended), replace=True)
+        # Re-registering an identical view would bump the DDL version and
+        # evict the whole plan cache on every delivery of this report.
+        self.catalog.ensure_view(View(extended_name, extended))
         return _replace(query, source=extended_name)
 
     def _source_outputs(self, relation: str) -> tuple[str, ...]:

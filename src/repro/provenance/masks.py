@@ -152,13 +152,20 @@ class MaskProvenance(Sequence):
     Decoding row ``i`` reproduces the exact :class:`RowProvenance` the
     reference engine would have built (same lineage frozenset, same where
     dict with the same key set).
+
+    Decoded rows are memoized, so a result shared through the plan cache
+    decodes each row at most once however often it is read. :meth:`_decode`
+    stays the one place a row is decoded; the memo only calls it. Threads
+    may share an instance without a lock: two threads racing on the same
+    undecoded row can at worst both decode it, into equal values, and one
+    result is kept.
     """
 
     #: Marker consumed by ``Table.derived`` / ``PlanCache.commit`` so lazy
     #: sequences are stored as-is instead of being materialized.
     lazy_provenance = True
 
-    __slots__ = ("n", "leaves", "contribs", "origins")
+    __slots__ = ("n", "leaves", "contribs", "origins", "_memo")
 
     def __init__(
         self,
@@ -174,6 +181,8 @@ class MaskProvenance(Sequence):
         self.contribs = contribs
         #: per output alias: ((leaf_index, source_column), ...)
         self.origins = origins
+        # Decoded rows by index, allocated on the first read.
+        self._memo: list[RowProvenance | None] | None = None
 
     # -- decoding -----------------------------------------------------------
 
@@ -194,6 +203,16 @@ class MaskProvenance(Sequence):
             where[alias] = _union(*refs) if refs else _EMPTY_REFS
         return RowProvenance.make(lineage, where)
 
+    def _row(self, i: int) -> RowProvenance:
+        """Row ``i``, decoded on its first read only."""
+        memo = self._memo
+        if memo is None:
+            memo = self._memo = [None] * self.n
+        row = memo[i]
+        if row is None:
+            row = memo[i] = self._decode(i)
+        return row
+
     # -- Sequence protocol ----------------------------------------------------
 
     def __len__(self) -> int:
@@ -201,15 +220,15 @@ class MaskProvenance(Sequence):
 
     def __getitem__(self, i):  # type: ignore[override]
         if isinstance(i, slice):
-            return [self._decode(j) for j in range(*i.indices(self.n))]
+            return [self._row(j) for j in range(*i.indices(self.n))]
         if i < 0:
             i += self.n
         if not 0 <= i < self.n:
             raise IndexError("provenance index out of range")
-        return self._decode(i)
+        return self._row(i)
 
     def __iter__(self) -> Iterator[RowProvenance]:
-        return (self._decode(i) for i in range(self.n))
+        return map(self._row, range(self.n))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Sequence):
@@ -223,7 +242,7 @@ class MaskProvenance(Sequence):
 
     def materialize(self) -> list[RowProvenance]:
         """Decode every row (the object-provenance boundary for consumers)."""
-        return [self._decode(i) for i in range(self.n)]
+        return list(self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kinds = ",".join(c.kind for c in self.contribs)

@@ -102,6 +102,20 @@ class Catalog:
             self._mutated(view.name)
             return view
 
+    def ensure_view(self, view: View) -> None:
+        """Register ``view`` unless the same definition is already there.
+
+        Same means a view of that name whose query has the same
+        :meth:`~repro.relational.query.Query.fingerprint`. Then the catalog
+        keeps its ``ddl_version``, and with it every plan-cache entry.
+        """
+        with self._lock:
+            current = self._views.get(view.name)
+            if current is None or (
+                current.query.fingerprint() != view.query.fingerprint()
+            ):
+                self.add_view(view, replace=True)
+
     def drop(self, name: str) -> None:
         """Remove a table or view; missing names raise :class:`CatalogError`."""
         with self._lock:

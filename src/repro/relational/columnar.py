@@ -17,6 +17,12 @@ enforces:
   value-identical to the reference engine's, which is what keeps PLA
   threshold checks and audits independent of the execution path.
 
+Each SELECT core is first offered to the fused vector tier
+(:mod:`repro.relational.vector`), unfolded by
+:func:`repro.relational.plan.unfold` so that readers over mergeable views
+qualify. The operators below run whatever it declines, on the original
+query: views resolve recursively, as in the reference engine.
+
 Provenance is the part that stays row-shaped: :class:`RowProvenance` values
 are per-row objects, so operators that must *rebuild* them (project, join,
 aggregate) pay a per-row cost even on the columnar path. The speedup comes
@@ -43,6 +49,7 @@ from repro.relational.algebra import (
 )
 from repro.relational.catalog import Catalog
 from repro.relational.expressions import Col, Expr
+from repro.relational.plan import MAX_UNFOLD_DEPTH, unfold
 from repro.relational.query import Query, _ensure_select_consistency
 from repro.relational.schema import Column, Schema
 from repro.relational.table import RowProvenance, Table
@@ -879,13 +886,22 @@ def _run_core(query: Query, catalog: Catalog, *, depth: int) -> ColumnarTable:
     _ensure_select_consistency(query)
 
     # Vector fast path: fused typed-array kernels with bitset provenance
-    # masks (see repro.relational.vector). When eligible it executes the
-    # whole core in single passes and returns lazily-decoded provenance;
-    # otherwise fall through to the object-columnar operators below.
-    fast = try_vector_core(query, catalog)
+    # masks (see repro.relational.vector). It plans base-table cores only,
+    # so a reader over a mergeable view is offered in unfolded form (see
+    # repro.relational.plan). When eligible it executes the whole core in
+    # single passes and returns lazily-decoded provenance; otherwise the
+    # object-columnar operators below run the original query. Near the
+    # nesting bound nothing is merged, so the resolver still rejects a view
+    # chain that is too deep.
+    candidate = query
+    if depth + MAX_UNFOLD_DEPTH <= _MAX_VIEW_DEPTH:
+        candidate = unfold(query, catalog)
+    fast = try_vector_core(candidate, catalog)
     if fast is not None:
+        # A merged reader keeps its view's name, as the resolver names it.
+        name = fast.name if candidate.source == query.source else query.source
         current = ColumnarTable(
-            fast.name, fast.schema, list(fast.columns), fast.provenance
+            name, fast.schema, list(fast.columns), fast.provenance
         )
         if query.select_distinct:
             current = distinct_c(current)

@@ -13,11 +13,15 @@ the object-columnar batch path:
 The fast path is a *planner*, not a separate engine: ``try_vector_core``
 inspects one SELECT core and either executes it end to end — scan→filter→
 project and join→filter→project→group-aggregate fused into single passes —
-or returns ``None``, in which case ``columnar._run_core`` proceeds exactly
-as before. Eligibility is conservative:
+or returns ``None``, in which case ``columnar._run_core`` runs the original
+query on the object-columnar operators. ``columnar._run_core`` offers the
+core in unfolded form (:func:`repro.relational.plan.unfold`), so a reader
+over a rename-free select-project-join view arrives here as a base-table
+core. Eligibility is conservative:
 
 * every join is INNER and every referenced relation is a base table
-  (view bodies get their own shot when the resolver recurses);
+  (other view readers fall back; view bodies get their own shot when the
+  resolver recurses);
 * the core ends in a projection or an aggregation (so the output
   where-provenance key set is the alias list, which the mask decoder
   rebuilds exactly);

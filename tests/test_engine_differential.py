@@ -36,6 +36,7 @@ from repro.relational import (
     parse_query,
 )
 from repro.relational.expressions import And, Arith, Col, Comparison, IsNull, Lit, Not, Or
+from repro.relational.plan import MAX_UNFOLD_DEPTH, unfold
 from repro.relational.types import ColumnType
 
 UNCACHED = ExecutionConfig(mode="columnar", use_plan_cache=False)
@@ -72,8 +73,10 @@ def assert_equivalent(query: Query, catalog: Catalog) -> None:
         assert type(got_exc) is type(ref_exc), (ref_exc, got_exc)
         assert str(got_exc) == str(ref_exc)
         return
+    assert got.name == ref.name
     assert got.schema == ref.schema
     assert list(got.rows) == list(ref.rows)
+    assert [p.lineage for p in got.provenance] == [p.lineage for p in ref.provenance]
     assert list(got.provenance) == list(ref.provenance)
 
 
@@ -358,3 +361,272 @@ def test_null_join_keys_never_match(how):
     cat = build_catalog([(None, 1, 1), ("a", 2, 2)], [(None, 5), ("a", 6)])
     q = Query.from_("t").join("d", [("g", "h")], how=how)
     assert_equivalent(q, cat)
+
+
+# ---------------------------------------------------------------------------
+# View unfolding: readers over mergeable views (repro.relational.plan)
+# ---------------------------------------------------------------------------
+#
+# The columnar engine offers readers over rename-free SPJ views to the vector
+# tier in unfolded form; the row engine always resolves views recursively.
+# So row == columnar here is the claim that unfolding is exact, including
+# the shapes that must not merge (which fall back to the resolver).
+
+_BASE_COLUMNS = {"t": ["g", "x", "y"], "d": ["h", "z"]}
+_STRING_COLUMNS = {"g", "h"}
+
+
+def _is_string(column: str) -> bool:
+    return column.rsplit(".", 1)[-1] in _STRING_COLUMNS
+
+
+def _joined_names(left_name, left_cols, right_name, right_cols):
+    """Output names of ``left JOIN right``, qualified like ``join_frame``."""
+    collisions = set(left_cols) & set(right_cols)
+    return [f"{left_name}.{c}" if c in collisions else c for c in left_cols] + [
+        f"{right_name}.{c}" if c in collisions else c for c in right_cols
+    ]
+
+
+def _join_pairs(draw, left_cols, right_cols):
+    pairs = [
+        (l, r)
+        for l in left_cols
+        for r in right_cols
+        if _is_string(l) == _is_string(r)
+    ]
+    if not pairs:
+        return None
+    return draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=2, unique=True))
+
+
+@st.composite
+def mergeable_views(draw):
+    """Views over ``t``/``d``, up to two levels nested, mostly mergeable.
+
+    ``dv`` is a single-table view over ``d`` (a legal right-hand join
+    input); ``v1`` reads ``t`` and may join ``d`` or ``dv``; ``v2`` reads
+    ``v1`` and may join ``d`` or ``dv`` again, which can make names collide
+    differently in the nested and the merged join. Returns
+    ``{view: (query, output names)}``.
+    """
+    views = {}
+    dv_cols = list(draw(st.permutations(_BASE_COLUMNS["d"])))[: draw(st.integers(1, 2))]
+    views["dv"] = (Query.from_("d").project(*dv_cols), dv_cols)
+
+    def level(source, cols):
+        q, names = Query.from_(source), list(cols)
+        right = draw(st.sampled_from([None, "d", "dv"]))
+        if right is not None:
+            rcols = _BASE_COLUMNS["d"] if right == "d" else dv_cols
+            on = _join_pairs(draw, names, rcols)
+            if on is not None:
+                q = q.join(right, on)
+                names = _joined_names(source, names, right, rcols)
+        select = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+        return q.project(*select), select
+
+    views["v1"] = level("t", _BASE_COLUMNS["t"])
+    views["v2"] = level("v1", views["v1"][1])
+    return views
+
+
+def _reader_predicate(draw, cols):
+    column = draw(st.sampled_from(cols))
+    if draw(st.booleans()):
+        return IsNull(Col(column))
+    if _is_string(column):
+        return Comparison(draw(st.sampled_from(["=", "!="])), Col(column), Lit("a"))
+    return Comparison(
+        draw(st.sampled_from(_OPS)), Col(column), Lit(draw(st.integers(-3, 3)))
+    )
+
+
+@st.composite
+def view_readers(draw, views):
+    """A reader over one view: projection, WHERE, aggregate, ``SELECT *``,
+    DISTINCT, ORDER BY/LIMIT, or a set-operation head. Now and then it
+    names a column the view does not output."""
+    source = draw(st.sampled_from(["v2", "v1", "dv"]))
+    outs = list(views[source][1])
+    cols = outs + (["y"] if draw(st.integers(0, 9)) == 0 else [])
+    q = Query.from_(source)
+    if draw(st.booleans()):
+        q = q.filter(_reader_predicate(draw, cols))
+    shape = draw(st.sampled_from(["star", "project", "aggregate"]))
+    if shape == "project":
+        items = draw(st.lists(st.sampled_from(cols), min_size=1, max_size=3, unique=True))
+        ints = [c for c in cols if not _is_string(c)]
+        if ints and draw(st.booleans()):
+            items.append(
+                ("calc", Arith("+", Col(draw(st.sampled_from(ints))), Lit(1)))
+            )
+        q = q.project(*items)
+        outs = [i if isinstance(i, str) else i[0] for i in items]
+    elif shape == "aggregate":
+        group = draw(st.lists(st.sampled_from(cols), max_size=2, unique=True))
+        aggs = [AggSpec("count", None, "cnt")]
+        ints = [c for c in cols if not _is_string(c)]
+        if ints and draw(st.booleans()):
+            aggs.append(AggSpec("sum", draw(st.sampled_from(ints)), "total"))
+        q = q.group(*group).agg(*aggs)
+        outs = group + [a.alias for a in aggs]
+    if draw(st.booleans()):
+        q = q.distinct()
+    if draw(st.integers(0, 3)) == 0:
+        other = draw(st.sampled_from(["dv", "v1", "v2", "t"]))
+        other_cols = views[other][1] if other in views else _BASE_COLUMNS["t"]
+        width = len(outs)
+        if width <= len(other_cols):
+            q = q.union_with(
+                Query.from_(other).project(*other_cols[:width]),
+                all=draw(st.booleans()),
+            )
+    if draw(st.booleans()):
+        q = q.order_by(*[(c, draw(st.booleans())) for c in outs[:2]])
+    if draw(st.booleans()):
+        q = q.limit(draw(st.integers(0, 7)))
+    return q
+
+
+@st.composite
+def view_cases(draw):
+    views = draw(mergeable_views())
+    return views, draw(view_readers(views))
+
+
+def _catalog_with_views(t_rows, d_rows, views) -> Catalog:
+    cat = build_catalog(t_rows, d_rows)
+    for name in ("dv", "v1", "v2"):
+        cat.add_view(View(name, views[name][0]))
+    return cat
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(t_rows=t_rows_strategy, d_rows=d_rows_strategy, case=view_cases())
+def test_view_readers_match_row_reference(t_rows, d_rows, case):
+    views, reader = case
+    assert_equivalent(reader, _catalog_with_views(t_rows, d_rows, views))
+
+
+_UNFOLD_ROWS = [("a", 1, 2), ("b", None, 3), ("a", 4, None), ("c", 2, 2)]
+_UNFOLD_DIM = [("a", 1), ("b", 2), ("a", 4)]
+
+
+def test_nested_view_readers_merge_to_base_tables():
+    cat = build_catalog(_UNFOLD_ROWS, _UNFOLD_DIM)
+    cat.add_view(View("v1", parse_query("SELECT g, x, z FROM t JOIN d ON g = h")))
+    cat.add_view(View("v2", parse_query("SELECT g, z FROM v1")))
+    for sql in (
+        "SELECT * FROM v2",
+        "SELECT g, COUNT(*) AS n FROM v2 WHERE z > 1 GROUP BY g ORDER BY n",
+        "SELECT DISTINCT g FROM v1 WHERE x IS NOT NULL",
+    ):
+        query = parse_query(sql)
+        merged = unfold(query, cat)
+        assert (merged.source, [j.table for j in merged.joins]) == ("t", ["d"]), sql
+        assert_equivalent(query, cat)
+    assert unfold(parse_query("SELECT * FROM v2"), cat).select == ("g", "z")
+
+
+def test_shapes_that_must_not_merge():
+    cat = build_catalog(_UNFOLD_ROWS, _UNFOLD_DIM)
+    cat.add_view(View("narrow", parse_query("SELECT g FROM t")))
+    # The test_view_chain_parity shapes: views with a WHERE stay boundaries.
+    cat.add_view(View("v1", parse_query("SELECT g, x FROM t WHERE x IS NOT NULL")))
+    cat.add_view(View("v2", parse_query("SELECT g FROM v1 WHERE x > 0")))
+    cat.add_view(View("wide", parse_query("SELECT g, x FROM t")))
+    # A JOIN key the right-hand view hides, and a self-join whose qualified
+    # names collide: the original raises, so neither may merge.
+    cat.add_view(View("dh", parse_query("SELECT h FROM d")))
+    cat.add_view(View("hidden_key", parse_query("SELECT g FROM t JOIN dh ON x = z")))
+    cat.add_view(
+        View("self_join", Query.from_("t").join("t", [("x", "x")]).project("t.g"))
+    )
+    cat.add_view(View("twice", Query.from_("t").project("g", "g")))
+    for sql in (
+        "SELECT x FROM narrow",  # reader column absent from the view
+        "SELECT g FROM narrow WHERE x > 0",
+        "SELECT g FROM v1",
+        "SELECT COUNT(*) AS n FROM v1 GROUP BY g",
+        "SELECT g FROM v2",
+        "SELECT g, z FROM wide JOIN d ON x = z",  # a reader that joins a view
+        "SELECT g FROM hidden_key",
+        "SELECT * FROM self_join",
+        "SELECT * FROM twice",
+    ):
+        query = parse_query(sql)
+        assert unfold(query, cat) is query, sql
+        assert_equivalent(query, cat)
+
+
+def test_view_chains_merge_up_to_the_depth_bound():
+    """Chains merge up to ``MAX_UNFOLD_DEPTH`` views; a chain too deep for
+    the resolver must keep raising its nesting error, not be merged."""
+    cat = build_catalog(_UNFOLD_ROWS, _UNFOLD_DIM)
+    previous = "t"
+    for level in range(1, 36):
+        cat.add_view(View(f"c{level}", parse_query(f"SELECT g, x FROM {previous}")))
+        previous = f"c{level}"
+    merges = parse_query(f"SELECT g FROM c{MAX_UNFOLD_DEPTH}")
+    assert unfold(merges, cat).source == "t"
+    too_deep = parse_query(f"SELECT g FROM c{MAX_UNFOLD_DEPTH + 1}")
+    assert unfold(too_deep, cat) is too_deep
+    for query in (merges, too_deep, parse_query("SELECT g FROM c35")):
+        assert_equivalent(query, cat)
+
+
+def test_right_hand_joined_view_does_not_merge():
+    """A joined view on the right of a JOIN stays a boundary: merging it
+    would re-associate the join, and the ON keys may name any of its
+    tables, which a left-deep join chain cannot express."""
+    cat = build_catalog(_UNFOLD_ROWS, _UNFOLD_DIM)
+    e_schema = make_schema(("k", ColumnType.INT), ("w", ColumnType.STRING))
+    cat.add_table(Table.from_rows("e", e_schema, [(1, "p"), (4, "q")], provider="r"))
+    cat.add_view(View("de", parse_query("SELECT h, z, w FROM d JOIN e ON z = k")))
+    for sql in (
+        "SELECT g, h, w FROM t JOIN de ON g = h",
+        "SELECT g, w FROM t JOIN de ON g = w",
+    ):
+        cat.add_view(View("v", parse_query(sql)), replace=True)
+        query = parse_query("SELECT * FROM v")
+        assert unfold(query, cat) is query
+        assert_equivalent(query, cat)
+
+
+def test_join_key_renamed_by_a_hidden_collision_does_not_merge():
+    """``v0`` hides ``t.y``, so ``y`` names ``e.y`` in ``v1``'s original
+    join but collides (and is qualified away) in the merged one; the
+    merged ON clause would name a column that no longer exists."""
+    cat = build_catalog(_UNFOLD_ROWS, _UNFOLD_DIM)
+    e_schema = make_schema(
+        ("k", ColumnType.INT), ("y", ColumnType.INT), ("w", ColumnType.STRING)
+    )
+    cat.add_table(
+        Table.from_rows("e", e_schema, [(1, 1, "p"), (4, 2, "q")], provider="r")
+    )
+    cat.add_view(View("v0", parse_query("SELECT g, x FROM t")))
+    cat.add_view(
+        View("v1", parse_query("SELECT g, w FROM v0 JOIN e ON x = k JOIN d ON y = z"))
+    )
+    query = parse_query("SELECT * FROM v1")
+    assert unfold(query, cat) is query
+    assert_equivalent(query, cat)
+    assert len(execute_row(query, cat).rows) == 2
+
+
+def test_nested_collision_that_renames_does_not_merge():
+    """``v1`` hides ``d.h``; joining ``d`` again in ``v2`` collides on
+    ``h`` under the name ``v1`` in the original but ``t_d`` when merged."""
+    cat = build_catalog(_UNFOLD_ROWS, _UNFOLD_DIM)
+    cat.add_view(View("v1", parse_query("SELECT g, h FROM t JOIN d ON g = h")))
+    cat.add_view(
+        View("v2", Query.from_("v1").join("d", [("g", "h")]).project("v1.h", "z"))
+    )
+    query = parse_query("SELECT * FROM v2")
+    assert unfold(query, cat) is query
+    assert_equivalent(query, cat)

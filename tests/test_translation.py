@@ -203,6 +203,71 @@ class TestHiddenColumns:
         assert by_patient == {"Alice": None, "Bob": "normal"}
 
 
+    def test_hidden_column_view_registered_once(self):
+        """A report over a view that projects the condition column away is
+        pointed at an extended ``__plaext`` view. The extension is DDL, so
+        it must happen once: later deliveries keep ``ddl_version`` (and the
+        plan cache) intact."""
+        from repro.relational import ExecutionConfig, PlanCache, set_default_config
+
+        cat = Catalog()
+        schema = make_schema(
+            ("patient", ColumnType.STRING),
+            ("result", ColumnType.STRING),
+            ("disease", ColumnType.STRING),
+        )
+        rows = [("Alice", "positive", "HIV"), ("Bob", "normal", "asthma")]
+        cat.add_table(Table.from_rows("exams", schema, rows, provider="lab"))
+        cat.add_view(
+            View("wide", Query.from_("exams").project("patient", "result", "disease"))
+        )
+        cat.add_view(View("results", Query.from_("wide").project("patient", "result")))
+        mrs = MetaReportSet()
+        mr = MetaReport("mr", Query.from_("wide").project("patient", "result", "disease"))
+        registry = PlaRegistry()
+        registry.add(
+            PLA(
+                "p", "lab", PlaLevel.METAREPORT, "mr",
+                (
+                    IntensionalCondition(
+                        "result", parse_expression("disease != 'HIV'"), "suppress_cell"
+                    ),
+                ),
+            )
+        )
+        mr.attach_pla(registry.approve("p"))
+        mrs.add(mr)
+        mrs.register_views(cat)
+        checker = ComplianceChecker(catalog=cat, metareports=mrs)
+        enforcer = ReportLevelEnforcer(catalog=cat)
+        subjects = SubjectRegistry()
+        subjects.purposes.declare("care")
+        subjects.add_role("analyst")
+        subjects.add_user("ann", "analyst")
+        report = ReportDefinition(
+            name="results_report", title="t",
+            query=parse_query("SELECT patient, result FROM results"),
+            audience=frozenset({"analyst"}), purpose="care",
+        )
+        verdict = checker.check_report(report)
+        assert verdict.compliant
+        context = subjects.context("ann", "care")
+
+        cache = PlanCache()
+        previous = set_default_config(ExecutionConfig(mode="columnar", plan_cache=cache))
+        try:
+            first = enforcer.generate(report, context, verdict)
+            assert cat.is_view("results__plaext")
+            ddl_version = cat.ddl_version
+            second = enforcer.generate(report, context, verdict)
+        finally:
+            set_default_config(previous)
+        assert cat.ddl_version == ddl_version
+        assert cache.stats.hits == 1
+        assert list(second.table.rows) == list(first.table.rows)
+        assert dict(second.table.rows) == {"Alice": None, "Bob": "normal"}
+
+
 class TestCrossLayerProjection:
     def _plas(self):
         return [

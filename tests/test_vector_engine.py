@@ -15,6 +15,7 @@ default). This module pins the vector layer's own contracts:
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -33,6 +34,15 @@ from repro.relational.types import ColumnType
 from repro.relational.vector import set_vector_enabled, try_vector_core
 
 UNCACHED = ExecutionConfig(mode="columnar", use_plan_cache=False)
+
+
+@pytest.fixture
+def vector_on():
+    """Tests of the vector tier's own contracts run it even under
+    ``REPRO_VECTOR=0``, which the CI uses to exercise the other tiers."""
+    previous = set_vector_enabled(True)
+    yield
+    set_vector_enabled(previous)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +125,7 @@ def test_vector_path_matches_row_reference_including_provenance():
         assert _normalized(fused) == _normalized(reference), sql
 
 
-def test_fast_path_engages_and_yields_lazy_provenance():
+def test_fast_path_engages_and_yields_lazy_provenance(vector_on):
     cat = _catalog()
     for sql in QUERIES:
         query = parse_query(sql)
@@ -149,3 +159,93 @@ def test_ineligible_shapes_fall_back_cleanly():
     assert _normalized(execute(query, cat, config=UNCACHED)) == _normalized(
         execute(query, cat, config=ROW)
     )
+
+
+# ---------------------------------------------------------------------------
+# Service coverage: every scenario report runs on the vector tier
+# ---------------------------------------------------------------------------
+
+
+def test_every_scenario_report_and_metareport_runs_on_the_vector_tier(vector_on):
+    """Reports read meta-report views; unfolded, each is a base-table core."""
+    from repro.relational import Query
+    from repro.relational.plan import unfold
+    from repro.simulation.scenario import build_scenario
+
+    scenario = build_scenario()
+    cat = scenario.bi_catalog
+    queries = [r.query for r in scenario.report_catalog.all_current()]
+    queries += [Query.from_(name) for name in cat.view_names() if name.startswith("mr_")]
+    assert len(queries) == 30 + len(scenario.metareports.metareports)
+    for query in queries:
+        assert try_vector_core(unfold(query, cat), cat) is not None, query
+        out = execute(query, cat, config=UNCACHED)
+        assert getattr(out.provenance, "lazy_provenance", False), query
+        assert out.name == query.source
+
+
+# ---------------------------------------------------------------------------
+# MaskProvenance decode memo
+# ---------------------------------------------------------------------------
+
+
+def test_cached_lazy_result_decodes_each_row_once(monkeypatch, vector_on):
+    """A plan-cache hit shares the lazy provenance of the first run; every
+    read after the first of a row, on any copy, comes from the memo."""
+    from repro.provenance.masks import MaskProvenance
+    from repro.relational import PlanCache
+
+    decoded: list[int] = []
+    original = MaskProvenance._decode
+
+    def counting(self, i):
+        decoded.append(i)
+        return original(self, i)
+
+    monkeypatch.setattr(MaskProvenance, "_decode", counting)
+    cat = _catalog()
+    config = ExecutionConfig(mode="columnar", plan_cache=PlanCache())
+    query = parse_query(QUERIES[1])
+    first = execute(query, cat, config=config)
+    hit = execute(query, cat, config=config)
+    assert hit.provenance is first.provenance
+    assert config.plan_cache.stats.hits == 1
+    n = len(hit.rows)
+    assert n > 0 and not decoded
+    list(hit.provenance)
+    list(hit.provenance)
+    lineages = [hit.lineage_of(i) for i in range(n)]
+    assert hit.all_lineage() == first.all_lineage() == frozenset().union(*lineages)
+    assert sorted(decoded) == list(range(n))
+
+
+def test_shared_mask_provenance_is_thread_safe(vector_on):
+    """Threads racing on one memo all read exactly the reference provenance."""
+    import sys
+    import threading
+
+    cat = _catalog()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for sql in QUERIES:
+            query = parse_query(sql)
+            reference = list(execute(query, cat, config=ROW).provenance)
+            shared = execute(query, cat, config=UNCACHED).provenance
+            results: list = [None] * 4
+            barrier = threading.Barrier(4)
+
+            def read(slot: int) -> None:
+                barrier.wait()
+                results[slot] = list(shared)
+
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert shared.materialize() == reference, sql
+            assert all(r == reference for r in results), sql
+    finally:
+        sys.setswitchinterval(interval)
