@@ -106,6 +106,19 @@ class LRUCache:
             self._entries.move_to_end(key)
             return value
 
+    def peek(self, key: Hashable, default: Any = None) -> Any:
+        """Look up ``key`` like :meth:`get`, but count neither hit nor miss.
+
+        For callers that classify a lookup themselves once they have seen
+        the value (the join index counts hit, extend or miss).
+        """
+        with self._lock:
+            value = self._entries.get(key, _MISSING)
+            if value is _MISSING:
+                return default
+            self._entries.move_to_end(key)
+            return value
+
     def put(self, key: Hashable, value: Any) -> None:
         """Insert/refresh ``key``; evicts the least-recently-used overflow."""
         with self._lock:

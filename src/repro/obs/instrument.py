@@ -9,7 +9,9 @@ a **stable contract**, documented in ``docs/OBSERVABILITY.md``:
     Queries executed by the relational engine, by execution mode.
 ``repro_cache_lookups_total{cache,result}``
     Lookups against the plan / derivability / containment / verdict caches,
-    labeled hit or miss.
+    labeled hit or miss, and against the join index (``cache="join_index"``),
+    labeled hit, extend (only the fact table grew; its new rows were probed)
+    or miss.
 ``repro_enforcement_decisions_total{level,decision,rule}``
     Privacy enforcement decisions keyed by the paper's pipeline level
     (``source`` | ``warehouse`` | ``meta-report`` | ``report``), the

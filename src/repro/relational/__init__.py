@@ -30,7 +30,7 @@ from repro.relational.execconfig import (
     set_default_config,
 )
 from repro.relational.io import dumps_csv, loads_csv, read_csv, write_csv
-from repro.relational.plancache import PlanCache, default_plan_cache
+from repro.relational.plancache import JoinIndex, PlanCache, default_plan_cache
 from repro.relational.expressions import (
     And,
     Arith,
@@ -70,6 +70,7 @@ __all__ = [
     "InList",
     "IsNull",
     "JoinClause",
+    "JoinIndex",
     "Lit",
     "Not",
     "Or",

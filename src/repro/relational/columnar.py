@@ -50,10 +50,11 @@ from repro.relational.algebra import (
 from repro.relational.catalog import Catalog
 from repro.relational.expressions import Col, Expr
 from repro.relational.plan import MAX_UNFOLD_DEPTH, unfold
+from repro.relational.plancache import JoinIndex
 from repro.relational.query import Query, _ensure_select_consistency
 from repro.relational.schema import Column, Schema
 from repro.relational.table import RowProvenance, Table
-from repro.relational.vector import try_vector_core
+from repro.relational.vector import reusing_joins, try_vector_core
 
 __all__ = ["ColumnarTable", "execute_columnar"]
 
@@ -961,8 +962,17 @@ def _run_core(query: Query, catalog: Catalog, *, depth: int) -> ColumnarTable:
 
 
 def execute_columnar(
-    query: Query, catalog: Catalog, *, name: str | None = None
+    query: Query,
+    catalog: Catalog,
+    *,
+    name: str | None = None,
+    join_index: JoinIndex | None = None,
 ) -> Table:
-    """Run ``query`` on the columnar path; result equals the row engine's."""
-    result = _run(query, catalog, depth=0)
+    """Run ``query`` on the columnar path; result equals the row engine's.
+
+    ``join_index`` (a plan cache's) lets vector cores reuse star joins
+    computed by earlier executions; ``None`` probes every join afresh.
+    """
+    with reusing_joins(join_index):
+        result = _run(query, catalog, depth=0)
     return result.to_table(name)

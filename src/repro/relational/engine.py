@@ -72,13 +72,15 @@ def _dispatch(
     # Reservation protocol: the key and invalidation token are captured
     # *before* execution, so a catalog mutation landing mid-execution makes
     # the commit a no-op instead of storing a stale result under a fresh key.
+    # A result miss still reuses star joins through the cache's join index.
+    joins = cache.join_index
     reservation = cache.begin(query, catalog, cfg.mode)
     if reservation is None:
-        return execute_columnar(query, catalog, name=name)
+        return execute_columnar(query, catalog, name=name, join_index=joins)
     cached = cache.fetch(reservation, name=name)
     if cached is not None:
         return cached
-    result = execute_columnar(query, catalog, name=name)
+    result = execute_columnar(query, catalog, name=name, join_index=joins)
     cache.commit(reservation, result)
     return result
 

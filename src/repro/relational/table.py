@@ -112,6 +112,14 @@ class Table:
     Rows are stored as tuples in schema order. ``provenance[i]`` is the
     :class:`RowProvenance` of ``rows[i]``. Tables are mutable only through
     :meth:`insert`; relational operators construct new tables.
+
+    **Append-only invariant.** :meth:`insert` appends, and nothing else
+    assigns to or mutates ``rows`` once a table is built, so the first
+    ``n`` rows a reader saw stay as they were. Each insert bumps
+    ``data_version`` and the row count by one. Caches rely on this: the
+    ``(data_version, row count)`` token keys them, and the join index of
+    :mod:`repro.relational.plancache` extends a cached join by probing only
+    the rows appended since.
     """
 
     def __init__(

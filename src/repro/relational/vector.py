@@ -27,6 +27,19 @@ core. Eligibility is conservative:
   rebuilds exactly);
 * no HAVING without GROUP BY (the reference raises mid-pipeline there).
 
+The join phase of a core — the per-leaf index vectors the probes produce —
+does not depend on the core's WHERE, projection or aggregation. When the
+execution runs through a plan cache, the cache's
+:class:`~repro.relational.plancache.JoinIndex` keeps it (bound for the
+execution by :func:`reusing_joins`), so a cold execution of another report
+over the same star join starts from the joined frame. An entry is reused
+while its leaves are the same table objects at the same
+``(data_version, row count)``; if only the source (fact) table grew, only
+the new source rows are probed and their index vectors appended — exact,
+because base tables are append-only (see :class:`~repro.relational.table.Table`)
+and inner joins emit rows in left order. Uncached executions (row mode,
+``use_plan_cache=False``) probe every join afresh.
+
 Everything observable — values, row order, schema, why-lineage, per-cell
 where-provenance, and the exception type/message on malformed queries — is
 identical to the reference engines; the differential suite enforces it.
@@ -43,8 +56,10 @@ from __future__ import annotations
 import os
 import weakref
 from array import array
+from contextlib import contextmanager
+from contextvars import ContextVar
 from itertools import compress
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.errors import QueryError
 from repro.provenance.masks import (
@@ -60,6 +75,7 @@ from repro.relational.algebra import (
 )
 from repro.relational.catalog import Catalog
 from repro.relational.expressions import Col, Expr
+from repro.relational.plancache import JoinEntry, JoinIndex
 from repro.relational.query import Query
 from repro.relational.schema import Schema
 from repro.relational.table import Table
@@ -68,6 +84,7 @@ from repro.relational.types import ColumnType
 __all__ = [
     "VectorTable",
     "VectorResult",
+    "reusing_joins",
     "try_vector_core",
     "vector_table",
     "set_vector_enabled",
@@ -287,17 +304,42 @@ class _Frame:
 
     __slots__ = ("tables", "vts", "schema", "name", "n", "leaf_idx", "colmap", "_vcache")
 
-    def __init__(self, table: Table) -> None:
+    def __init__(self, table: Table, rows: range | None = None) -> None:
+        """A frame over ``table``: all its rows, or the ordinals ``rows``."""
         self.tables = [table]
         self.vts = [vector_table(table)]
         self.schema = table.schema
         self.name = table.name
-        self.n = len(table.rows)
-        self.leaf_idx: list[Any] = [None]
-        self.colmap: dict[str, tuple[int, str]] = {
+        if rows is None:
+            self.n = len(table.rows)
+            self.leaf_idx: list[Any] = [None]
+        else:
+            self.n = len(rows)
+            self.leaf_idx = [array("q", rows)]
+        self.colmap: Mapping[str, tuple[int, str]] = {
             c: (0, c) for c in table.schema.names
         }
         self._vcache: dict[str, Sequence[Any]] = {}
+
+    @classmethod
+    def from_entry(cls, entry: JoinEntry) -> "_Frame":
+        """A frame over a join index entry (which it never mutates)."""
+        frame = cls.__new__(cls)
+        frame.tables = list(entry.tables)
+        frame.vts = [vector_table(t) for t in entry.tables]
+        frame.schema = entry.schema
+        frame.name = entry.name
+        frame.n = entry.n
+        frame.leaf_idx = list(entry.leaf_idx)
+        frame.colmap = entry.colmap
+        frame._vcache = {}
+        return frame
+
+    def as_entry(self, tokens: tuple[tuple[int, int], ...]) -> JoinEntry:
+        return JoinEntry(
+            tuple(self.tables), tokens, tuple(self.leaf_idx), self.colmap,
+            self.schema, self.name, self.n,
+        )
 
     # -- value access -------------------------------------------------------
 
@@ -675,6 +717,84 @@ def _aggregate_vec(frame: _Frame, query: Query) -> VectorResult:
 
 
 # ---------------------------------------------------------------------------
+# Join phase and the join index
+# ---------------------------------------------------------------------------
+
+#: The join index of the execution running in this context, bound by
+#: :func:`reusing_joins`. It travels in the context rather than as an
+#: argument so that ``try_vector_core(query, catalog)`` keeps the signature
+#: that wrappers around it (benchmark tracing) call.
+_JOIN_INDEX: ContextVar[JoinIndex | None] = ContextVar("join_index", default=None)
+
+
+@contextmanager
+def reusing_joins(index: JoinIndex | None) -> Iterator[None]:
+    """Let the vector cores run in this block reuse joins through ``index``
+    (``None``: probe every join afresh)."""
+    token = _JOIN_INDEX.set(index)
+    try:
+        yield
+    finally:
+        _JOIN_INDEX.reset(token)
+
+
+_JoinStep = tuple[Schema, set[str], list[int], list[int]]
+
+
+def _probe_steps(
+    frame: _Frame, rights: Sequence[Table], steps: list[_JoinStep]
+) -> _Frame:
+    """Hash-join ``rights`` onto ``frame`` in order, one probe per step."""
+    for (schema, collisions, lk, rk), right in zip(steps, rights):
+        left_keys = [frame.values(frame.schema.names[k]) for k in lk]
+        right_vt = vector_table(right)
+        right_keys = [right_vt.values(k) for k in rk]
+        out_li, out_rj = _probe_inner(left_keys, right_keys)
+        frame.apply_join(right, out_li, out_rj, schema, collisions)
+    return frame
+
+
+def _joined(
+    catalog: Catalog, tables: list[Table], steps: list[_JoinStep]
+) -> _Frame:
+    """The frame of ``tables`` inner-joined by ``steps``.
+
+    With a join index bound (see :func:`reusing_joins`), a valid entry is
+    reused as is; if only the source grew, only its new rows are probed
+    and their index vectors appended to the entry's.
+    """
+    index = _JOIN_INDEX.get()
+    if index is None or not steps:
+        return _probe_steps(_Frame(tables[0]), tables[1:], steps)
+    leaves = tuple(tables)
+    key = (
+        catalog.uid,
+        tuple(t.name for t in leaves),
+        tuple((tuple(lk), tuple(rk)) for _, _, lk, rk in steps),
+    )
+    # Tokens are taken before any leaf is read; store() re-checks them.
+    tokens = tuple((t.data_version, len(t.rows)) for t in leaves)
+    outcome, entry, fill = index.lookup(key, leaves, tokens)
+    if outcome == "hit":
+        return _Frame.from_entry(entry)
+    if outcome == "extend":
+        new_rows = range(entry.tokens[0][1], tokens[0][1])
+        part = _probe_steps(_Frame(tables[0], new_rows), tables[1:], steps)
+        entry = entry._replace(
+            tokens=tokens,
+            leaf_idx=tuple(
+                old + new for old, new in zip(entry.leaf_idx, part.leaf_idx)
+            ),
+            n=entry.n + part.n,
+        )
+    else:
+        frame = _probe_steps(_Frame(tables[0]), tables[1:], steps)
+        entry = frame.as_entry(tokens)
+    index.store(key, entry, fill)
+    return _Frame.from_entry(entry)
+
+
+# ---------------------------------------------------------------------------
 # Planner / entry point
 # ---------------------------------------------------------------------------
 
@@ -705,25 +825,18 @@ def try_vector_core(query: Query, catalog: Catalog) -> VectorResult | None:
     # -- join frame pre-pass: validation errors here are exactly the errors
     # the reference raises (probes can't raise), and residual duplicate
     # names (self-joins) disqualify the fast path before any probing work.
-    frames = []
+    steps: list[_JoinStep] = []
     cur_schema, cur_name = tables[0].schema, tables[0].name
     for clause, right in zip(query.joins, tables[1:]):
         schema, collisions, lk, rk = join_frame(
             cur_schema, right.schema, cur_name, right.name, clause.on, clause.how
         )
-        frames.append((schema, collisions, lk, rk))
+        steps.append((schema, collisions, lk, rk))
         if len(set(schema.names)) != len(schema.names):
             return None
         cur_schema, cur_name = schema, f"{cur_name}_{right.name}"
 
-    frame = _Frame(tables[0])
-    for (schema, collisions, lk, rk), right in zip(frames, tables[1:]):
-        left_key_names = [frame.schema.names[k] for k in lk]
-        right_vt = vector_table(right)
-        left_keys = [frame.values(c) for c in left_key_names]
-        right_keys = [right_vt.values(k) for k in rk]
-        out_li, out_rj = _probe_inner(left_keys, right_keys)
-        frame.apply_join(right, out_li, out_rj, schema, collisions)
+    frame = _joined(catalog, tables, steps)
 
     if query.where is not None:
         frame.apply_selector(_where_selector(frame, query.where))

@@ -41,6 +41,7 @@ from repro.errors import (
     SourceUnavailableError,
 )
 from repro.obs import instrument
+from repro.relational.execconfig import get_default_config
 from repro.service.state import MutationSpec, ServiceState
 
 __all__ = ["Session", "RequestResult", "DeliveryDaemon"]
@@ -342,6 +343,7 @@ class DeliveryDaemon:
             "outcomes": self.counts(),
             "sessions": [s.as_dict() for s in self.sessions()],
             "lock": self.state.lock.snapshot(),
+            "caches": _cache_stats(),
         }
 
     # -- reconfiguration ------------------------------------------------------
@@ -354,3 +356,21 @@ class DeliveryDaemon:
         """
         with self.state.lock.write_locked():
             self.state.service.resilience = resilience
+
+
+def _cache_stats() -> dict[str, Any]:
+    """The engine caches deliveries run through: the process default
+    config's plan cache and its join index (both ``None`` when the default
+    config runs uncached, e.g. in row mode)."""
+    cache = get_default_config().effective_plan_cache()
+    if cache is None:
+        return {"plan": None, "join_index": None}
+    joins = cache.join_index
+    return {
+        "plan": {**cache.stats.as_dict(), "entries": len(cache)},
+        "join_index": {
+            **joins.stats.as_dict(),
+            "extends": joins.extends,
+            "entries": len(joins),
+        },
+    }

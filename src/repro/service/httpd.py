@@ -9,21 +9,36 @@ Endpoints (loopback only, stdlib ``http.server``):
 * ``GET /stats`` — the daemon's operational snapshot
   (:meth:`~repro.service.daemon.DeliveryDaemon.stats`).
 * ``POST /deliver`` — submit one delivery (JSON body
-  ``{"report", "user", "purpose"}``). Non-blocking: a full queue answers
-  ``503`` with the typed shed error, mirroring
+  ``{"report", "user", "purpose"}``, all strings). Non-blocking: a full
+  queue answers ``503`` with the typed shed error, mirroring
   :class:`~repro.errors.ServiceOverloadedError`.
+
+``POST /deliver`` fails closed: every request gets a JSON answer. ``400``
+for a body that is not a JSON object of string fields, a bad or negative
+``Content-Length``, or an unknown user (:class:`~repro.errors.PolicyError`);
+``413`` for a body over :data:`MAX_BODY_BYTES`; ``503`` when the daemon
+sheds or is stopped; ``504`` when the delivery outlasts
+:data:`DELIVERY_TIMEOUT_S`; ``500`` with the error's type name for
+anything else the delivery raised.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from concurrent.futures import TimeoutError as FutureTimeoutError
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.errors import ServiceOverloadedError
+from repro.errors import PolicyError, ServiceError, ServiceOverloadedError
 from repro.service.daemon import DeliveryDaemon
 
-__all__ = ["ServiceHTTPServer", "start_http_server"]
+__all__ = ["MAX_BODY_BYTES", "ServiceHTTPServer", "start_http_server"]
+
+#: Largest ``POST /deliver`` body accepted; longer ones get ``413``.
+MAX_BODY_BYTES = 64 * 1024
+
+#: How long ``POST /deliver`` waits for its delivery before ``504``.
+DELIVERY_TIMEOUT_S = 60.0
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
@@ -84,27 +99,56 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path != "/deliver":
             self._json(404, {"error": f"unknown path {self.path!r}"})
             return
-        daemon = self.server.delivery_daemon
         try:
             length = int(self.headers.get("Content-Length", "0"))
-            body = json.loads(self.rfile.read(length) or b"{}")
-            report = body["report"]
-            user = body["user"]
-            purpose = body["purpose"]
-        except (ValueError, KeyError) as exc:
+        except ValueError:
+            self._json(400, {"error": "Content-Length must be an integer"})
+            return
+        if length < 0:
+            self._json(400, {"error": "Content-Length must not be negative"})
+            return
+        if length > MAX_BODY_BYTES:
             self._json(
-                400,
-                {"error": f"body must be JSON with report/user/purpose ({exc})"},
+                413, {"error": f"body over the {MAX_BODY_BYTES}-byte limit"}
             )
             return
         try:
-            future = daemon.submit_delivery(
+            body = json.loads(self.rfile.read(length) or b"{}")
+        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError too
+            self._json(400, {"error": f"body is not JSON ({exc})"})
+            return
+        fields = ("report", "user", "purpose")
+        if not isinstance(body, dict) or not all(
+            isinstance(body.get(f), str) for f in fields
+        ):
+            self._json(
+                400,
+                {"error": "body must be a JSON object with string "
+                          "report/user/purpose fields"},
+            )
+            return
+        report, user, purpose = (body[f] for f in fields)
+        try:
+            future = self.server.delivery_daemon.submit_delivery(
                 report, user=user, purpose=purpose, wait=False
             )
-        except ServiceOverloadedError as exc:
-            self._json(503, {"error": str(exc), "outcome": "shed"})
+        except ServiceError as exc:  # a full queue, or a stopped daemon
+            shed = isinstance(exc, ServiceOverloadedError)
+            self._json(
+                503, {"error": str(exc), "outcome": "shed" if shed else "stopped"}
+            )
             return
-        result = future.result(timeout=60.0)
+        try:
+            result = future.result(timeout=DELIVERY_TIMEOUT_S)
+        except FutureTimeoutError:
+            self._json(504, {"error": "delivery timed out", "outcome": "timeout"})
+            return
+        except PolicyError as exc:  # e.g. an unknown user
+            self._json(400, {"error": str(exc), "type": "PolicyError"})
+            return
+        except Exception as exc:  # noqa: BLE001 - every request gets an answer
+            self._json(500, {"error": str(exc), "type": type(exc).__name__})
+            return
         self._json(
             200,
             {

@@ -24,9 +24,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.relational import (
+    ROW,
     AggSpec,
     Catalog,
     ExecutionConfig,
+    PlanCache,
     Query,
     Table,
     View,
@@ -37,6 +39,7 @@ from repro.relational import (
 )
 from repro.relational.expressions import And, Arith, Col, Comparison, IsNull, Lit, Not, Or
 from repro.relational.plan import MAX_UNFOLD_DEPTH, unfold
+from repro.relational.plancache import JoinEntry, JoinIndex
 from repro.relational.types import ColumnType
 
 UNCACHED = ExecutionConfig(mode="columnar", use_plan_cache=False)
@@ -60,12 +63,15 @@ def _run(engine, query, catalog):
         return None, exc
 
 
-def assert_equivalent(query: Query, catalog: Catalog) -> None:
+def assert_equivalent(
+    query: Query, catalog: Catalog, config: ExecutionConfig = UNCACHED
+) -> None:
     """Both engines agree on result (rows, order, schema, provenance) or on
-    the raised exception (type and message)."""
+    the raised exception (type and message). ``config`` runs the columnar
+    side (uncached by default)."""
     ref, ref_exc = _run(execute_row, query, catalog)
     got, got_exc = _run(
-        lambda q, c: execute(q, c, config=UNCACHED), query, catalog
+        lambda q, c: execute(q, c, config=config), query, catalog
     )
     if ref_exc is not None or got_exc is not None:
         assert got_exc is not None, f"columnar succeeded, reference raised {ref_exc!r}"
@@ -630,3 +636,238 @@ def test_nested_collision_that_renames_does_not_merge():
     query = parse_query("SELECT * FROM v2")
     assert unfold(query, cat) is query
     assert_equivalent(query, cat)
+
+
+# ---------------------------------------------------------------------------
+# Join reuse: the plan cache's join index across inserts
+# ---------------------------------------------------------------------------
+
+E_SCHEMA = make_schema(("k", ColumnType.INT), ("w", ColumnType.STRING))
+
+_e_rows = st.lists(st.tuples(_i, _g), min_size=0, max_size=6)
+
+#: Readers that share the star join ``t ⋈ d ⋈ e`` (or ``t ⋈ d``), through
+#: the base tables or through the ``star`` view.
+_STAR_READERS = [
+    "SELECT g, x, z FROM {src}",
+    "SELECT g, x + z AS s FROM {src} WHERE x > 0",
+    "SELECT h, COUNT(*) AS n, SUM(x) AS sx FROM {src} GROUP BY h",
+    "SELECT DISTINCT h FROM {src}",
+    "SELECT g, y FROM {src} WHERE y IS NOT NULL ORDER BY y DESC, g LIMIT 3",
+    "SELECT COUNT(DISTINCT g) AS dg, MIN(z) AS mz FROM {src}",
+]
+
+
+def _star_catalog(t_rows, d_rows, e_rows, with_e: bool) -> tuple[Catalog, str]:
+    cat = build_catalog(t_rows, d_rows)
+    join = "t JOIN d ON g = h"
+    if with_e:
+        cat.add_table(Table.from_rows("e", E_SCHEMA, e_rows, provider="r"))
+        join += " JOIN e ON y = k"
+    cols = "g, x, y, h, z" + (", k, w" if with_e else "")
+    cat.add_view(View("star", parse_query(f"SELECT {cols} FROM {join}")))
+    return cat, join
+
+
+def _star_queries(join: str) -> list[Query]:
+    return [
+        parse_query(sql.format(src=src))
+        for sql in _STAR_READERS
+        for src in (join, "star")
+    ]
+
+
+_new_or_null_key = st.sampled_from([None, "a", "b", "c", "n"])
+_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("t"), st.tuples(_g, _i, _i)),
+        st.tuples(st.just("d"), st.tuples(_new_or_null_key, _i)),
+        st.tuples(st.just("e"), st.tuples(_i, _g)),
+        st.tuples(
+            st.just("run"),
+            st.integers(min_value=0, max_value=2 * len(_STAR_READERS) - 1),
+        ),
+    ),
+    min_size=1,
+    max_size=14,
+)
+
+
+@settings(
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    t_rows=t_rows_strategy,
+    d_rows=d_rows_strategy,
+    e_rows=_e_rows,
+    with_e=st.booleans(),
+    steps=_steps,
+)
+def test_join_reuse_across_inserts_matches_row_reference(
+    t_rows, d_rows, e_rows, with_e, steps
+):
+    """Executions through a private plan cache, interleaved with inserts
+    into the source and into the dimensions (new and NULL keys included),
+    agree with the row reference on values, order, schema and provenance
+    after every step."""
+    cat, join = _star_catalog(t_rows, d_rows, e_rows, with_e)
+    queries = _star_queries(join)
+    config = ExecutionConfig(mode="columnar", plan_cache=PlanCache())
+    for kind, arg in steps:
+        if kind == "run":
+            assert_equivalent(queries[arg], cat, config)
+        elif kind != "e" or with_e:
+            cat.table(kind).insert(arg)
+    for query in queries:
+        assert_equivalent(query, cat, config)
+
+
+@pytest.fixture
+def vector_on():
+    from repro.relational.vector import set_vector_enabled
+
+    previous = set_vector_enabled(True)
+    yield
+    set_vector_enabled(previous)
+
+
+_STAR_T = [("a", 1, 1), ("b", 2, None), (None, 3, 4), ("a", 4, 4), ("c", 5, 1)]
+_STAR_D = [("a", 10), ("b", 20), ("a", 30)]
+_STAR_E = [(1, "p"), (4, "q")]
+
+
+def _star_setup():
+    cat, join = _star_catalog(_STAR_T, _STAR_D, _STAR_E, True)
+    cache = PlanCache()
+    return cat, _star_queries(join), cache, ExecutionConfig(plan_cache=cache)
+
+
+def test_source_insert_extends_the_join_index(vector_on):
+    cat, queries, cache, config = _star_setup()
+    joins = cache.join_index
+    assert_equivalent(queries[0], cat, config)
+    assert (joins.stats.misses, joins.stats.hits, joins.extends) == (1, 0, 0)
+    assert_equivalent(queries[2], cat, config)
+    assert (joins.stats.misses, joins.stats.hits, joins.extends) == (1, 1, 0)
+    cat.table("t").insert(("b", 6, 4))
+    cat.table("t").insert(("a", 7, 1))
+    for query in queries:
+        assert_equivalent(query, cat, config)
+    # One extension over the two new rows, then hits; never a rebuild.
+    assert (joins.stats.misses, joins.extends, len(joins)) == (1, 1, 1)
+    assert joins.stats.hits == 1 + len(queries) - 1
+
+
+def test_dimension_insert_rebuilds_the_join_index(vector_on):
+    cat, queries, cache, config = _star_setup()
+    joins = cache.join_index
+    assert_equivalent(queries[0], cat, config)
+    cat.table("d").insert(("c", 40))
+    assert_equivalent(queries[1], cat, config)
+    cat.table("e").insert((None, "z"))
+    assert_equivalent(queries[3], cat, config)
+    assert (joins.stats.misses, joins.extends) == (3, 0)
+
+
+def test_replaced_table_never_reuses_the_old_entry(vector_on):
+    """DDL under the same name evicts the catalog's entries, and the next
+    execution joins the new table (whose tokens equal the old one's)."""
+    cat, queries, cache, config = _star_setup()
+    joins = cache.join_index
+    assert_equivalent(queries[0], cat, config)
+    assert len(joins) == 1
+    swapped = [(h, z + 1) for h, z in _STAR_D]  # same size, same tokens
+    cat.add_table(Table.from_rows("d", D_SCHEMA, swapped, provider="q"), replace=True)
+    assert len(joins) == 0
+    assert_equivalent(queries[0], cat, config)
+    assert joins.stats.misses == 2
+
+
+def test_join_index_entry_is_bound_to_its_table_objects():
+    """A lookup whose leaf is another table object is a miss, even under
+    the same key and tokens (a table replaced by a same-shaped one)."""
+    t = Table.from_rows("t", T_SCHEMA, _STAR_T)
+    d = Table.from_rows("d", D_SCHEMA, _STAR_D)
+    twin = Table.from_rows("d", D_SCHEMA, [(h, z + 1) for h, z in _STAR_D])
+    index = JoinIndex()
+    key = (0, ("t", "d"), (((0,), (0,)),))
+    tokens = ((5, 5), (3, 3))
+    outcome, entry, fill = index.lookup(key, (t, d), tokens)
+    assert (outcome, entry) == ("miss", None)
+    built = JoinEntry((t, d), tokens, (), {}, T_SCHEMA, "t_d", 0)
+    assert index.store(key, built, fill)
+    assert index.lookup(key, (t, d), tokens)[:2] == ("hit", built)
+    assert index.lookup(key, (t, twin), tokens)[:2] == ("miss", None)
+    t.insert(("a", 0, 0))
+    grown = ((6, 6), (3, 3))
+    assert index.lookup(key, (t, d), grown)[:2] == ("extend", built)
+    # A fill whose leaves moved on after its tokens were taken is dropped.
+    assert not index.store(key, built, index.lookup(key, (t, d), grown)[2])
+    assert index.stats.dropped_fills == 1
+
+
+def test_uncached_configs_and_clear_leave_nothing_to_reuse(vector_on):
+    cat, queries, cache, config = _star_setup()
+    joins = cache.join_index
+    for off in (
+        ExecutionConfig(use_plan_cache=False, plan_cache=cache),
+        ExecutionConfig(mode="row", plan_cache=cache),
+    ):
+        assert_equivalent(queries[0], cat, off)
+    assert len(joins) == 0 and joins.stats.lookups == 0
+    assert_equivalent(queries[0], cat, config)
+    assert len(joins) == 1
+    cache.clear()
+    assert len(joins) == 0
+    assert_equivalent(queries[2], cat, config)
+    assert joins.stats.misses == 2 and joins.stats.hits == 0
+
+
+def test_threads_sharing_one_join_index_get_the_serial_results(vector_on):
+    """4 threads run the 30 unfolded scenario reports, cold (the result
+    cache stores nothing), over one shared join index."""
+    import sys
+    import threading
+
+    from repro.simulation.scenario import build_scenario
+
+    scenario = build_scenario()
+    cat = scenario.bi_catalog
+    queries = [r.query for r in scenario.report_catalog.all_current()]
+    assert len(queries) == 30
+    serial = [execute(q, cat, config=ROW) for q in queries]
+    cache = PlanCache(maxsize=0)
+    config = ExecutionConfig(plan_cache=cache)
+    results: list = [None] * 4
+    errors: list = []
+    barrier = threading.Barrier(4)
+
+    def run(slot: int) -> None:
+        try:
+            barrier.wait()
+            order = queries[slot:] + queries[:slot]
+            out = [execute(q, cat, config=config) for q in order]
+            results[slot] = out[-slot:] + out[:-slot] if slot else out
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+    assert cache.join_index.stats.hits > 0
+    for out in results:
+        for got, ref in zip(out, serial):
+            assert got.name == ref.name and got.schema == ref.schema
+            assert list(got.rows) == list(ref.rows)
+            assert list(got.provenance) == list(ref.provenance)

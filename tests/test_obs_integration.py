@@ -252,6 +252,32 @@ class TestFourLevels:
         assert names.count("etl.op") == 1  # only the executed op gets a span
         assert "etl.flow" in names
 
+    def test_join_index_outcomes_are_counted_only_while_tracing(self, clean_obs):
+        from repro.relational import PlanCache, execute
+        from repro.relational.vector import set_vector_enabled
+        from repro.simulation.scenario import build_scenario
+
+        fresh = build_scenario()
+        cat = fresh.bi_catalog
+        queries = [r.query for r in fresh.report_catalog.all_current()][:3]
+        config = ExecutionConfig(plan_cache=PlanCache())
+        previous = set_vector_enabled(True)
+        try:
+            execute(queries[0], cat, config=config)  # a miss, not counted
+            assert instrument.CACHE_LOOKUPS.samples() == []
+            obs.enable()
+            execute(queries[1], cat, config=config)
+            fact = cat.table(fresh.star.fact.name)
+            fact.insert(fact.rows[0])
+            execute(queries[2], cat, config=config)
+            obs.disable()
+        finally:
+            set_vector_enabled(previous)
+        samples = dict(instrument.CACHE_LOOKUPS.samples())
+        joins = {k[1]: v for k, v in samples.items() if k[0] == "join_index"}
+        assert joins == {"hit": 1, "extend": 1}
+        assert config.plan_cache.join_index.extends == 1
+
     def test_cache_metrics_hit_and_miss(self, scenario, clean_obs):
         obs.enable()
         service = fresh_service(scenario)

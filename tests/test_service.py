@@ -54,6 +54,7 @@ from repro.service import (
     run_load,
     start_http_server,
 )
+from repro.service.httpd import MAX_BODY_BYTES
 from repro.service.loadgen import ROLE_TO_USER
 from repro.simulation.scenario import ScenarioConfig, build_scenario
 from repro.workloads.healthcare import HealthcareConfig
@@ -278,7 +279,7 @@ class TestDaemonBasics:
         for key in (
             "running", "workers", "queue_depth", "queue_size", "epoch",
             "commits", "refusals", "audit_records", "outcomes", "sessions",
-            "lock",
+            "lock", "caches",
         ):
             assert key in stats
         assert stats["epoch"] == 1
@@ -668,3 +669,130 @@ class TestHttpd:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(f"{base}/nope")
         assert err.value.code == 404
+
+    @pytest.mark.parametrize(
+        "body, headers, status",
+        [
+            (b"[1, 2]", {}, 400),
+            (b'"report"', {}, 400),
+            (b'{"report": 1, "user": "u", "purpose": "p"}', {}, 400),
+            (b'{"report": "r", "user": "nobody", "purpose": "p"}', {}, 400),
+            (b"{}", {"Content-Length": "-1"}, 400),
+            (b"{}", {"Content-Length": "many"}, 400),
+            (b"", {"Content-Length": str(MAX_BODY_BYTES + 1)}, 413),
+            (b"[" * 5000, {}, 400),
+        ],
+        ids=[
+            "list", "string", "int-field", "unknown-user", "negative-length",
+            "bad-length", "over-cap", "deep-nesting",
+        ],
+    )
+    def test_post_deliver_fails_closed(self, served, body, headers, status):
+        daemon, base = served
+        got, answer = _post(base, "/deliver", body, headers)
+        assert got == status, answer
+        assert "error" in answer
+        assert daemon.running
+
+    def test_unknown_user_is_400_not_a_dropped_connection(self, served):
+        daemon, base = served
+        definition = daemon.state.scenario.workload[0]
+        payload = {
+            "report": definition.name, "user": "mallory",
+            "purpose": definition.purpose,
+        }
+        got, answer = _post(base, "/deliver", json.dumps(payload).encode())
+        assert (got, answer["type"]) == (400, "PolicyError")
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        body=st.one_of(
+            st.binary(max_size=64),
+            st.recursive(
+                st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=8)),
+                lambda kids: st.one_of(
+                    st.lists(kids, max_size=3),
+                    st.dictionaries(
+                        st.sampled_from(["report", "user", "purpose", "x"]),
+                        kids,
+                        max_size=4,
+                    ),
+                ),
+                max_leaves=8,
+            ).map(lambda obj: json.dumps(obj).encode()),
+        ),
+        length=st.one_of(
+            st.none(),
+            st.sampled_from(["-1", "-99", "abc", "", "0x10", "1e3", " 2 "]),
+            st.integers(min_value=MAX_BODY_BYTES + 1, max_value=10**12).map(str),
+        ),
+        path=st.sampled_from(["/deliver", "/deliver", "/nope"]),
+    )
+    def test_every_post_gets_a_json_answer(self, served, body, length, path):
+        """Arbitrary bodies and Content-Length headers: each request gets a
+        parseable JSON answer with a known status; the daemon keeps running."""
+        daemon, base = served
+        headers = {} if length is None else {"Content-Length": length}
+        status, answer = _post(base, path, body, headers)
+        assert status in {200, 400, 404, 413, 503, 504}, (status, answer)
+        assert isinstance(answer, dict)
+        assert daemon.running
+
+    def test_stats_show_join_index_hits_after_a_warm_up_pass(self, small_state):
+        """Deliveries of different reports over one star join reuse it."""
+        from repro.relational import (
+            ExecutionConfig,
+            PlanCache,
+            set_default_config,
+        )
+        from repro.relational.vector import set_vector_enabled
+
+        previous = set_default_config(ExecutionConfig(plan_cache=PlanCache()))
+        was_on = set_vector_enabled(True)
+        try:
+            daemon = DeliveryDaemon(small_state, workers=2).start()
+            server = start_http_server(daemon)
+            try:
+                for definition in small_state.scenario.workload:
+                    daemon.deliver(definition.name, **_compliant_args(definition))
+                base = f"http://127.0.0.1:{server.server_address[1]}"
+                stats = json.load(urllib.request.urlopen(f"{base}/stats"))
+            finally:
+                server.shutdown()
+                daemon.stop()
+        finally:
+            set_vector_enabled(was_on)
+            set_default_config(previous)
+        caches = stats["caches"]
+        assert caches["plan"]["misses"] > 0
+        assert caches["join_index"]["hits"] > 0
+        assert caches["join_index"]["entries"] >= 1
+        assert caches["join_index"]["extends"] == 0
+
+
+def _post(base: str, path: str, body: bytes, headers: dict | None = None):
+    """POST ``body`` with raw headers; returns (status, parsed JSON answer).
+
+    Uses ``http.client`` so a ``Content-Length`` header is sent exactly as
+    given (``urllib`` would overwrite it).
+    """
+    import http.client
+    from urllib.parse import urlsplit
+
+    host, port = urlsplit(base).hostname, urlsplit(base).port
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        conn.putrequest("POST", path)
+        headers = dict(headers or {})
+        headers.setdefault("Content-Length", str(len(body)))
+        for name, value in headers.items():
+            conn.putheader(name, value)
+        conn.endheaders(body)  # one send: headers and body arrive together
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
